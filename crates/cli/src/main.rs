@@ -19,6 +19,7 @@ use ses_cli::{args, commands};
 use std::process::ExitCode;
 
 fn main() -> ExitCode {
+    end_quietly_on_closed_stdout();
     let mut argv: Vec<String> = std::env::args().skip(1).collect();
     // `ses wal <action>` is a two-word command; fold it into one token so
     // the flat option parser stays flat.
@@ -61,4 +62,20 @@ fn main() -> ExitCode {
             ExitCode::FAILURE
         }
     }
+}
+
+/// `println!` panics when stdout is a pipe whose reader has gone away
+/// (`ses solve … | head -1`). The reader already has what it wanted, so
+/// end the process quietly instead of printing a panic and a backtrace.
+fn end_quietly_on_closed_stdout() {
+    let default_hook = std::panic::take_hook();
+    std::panic::set_hook(Box::new(move |info| {
+        let closed_stdout = info.payload().downcast_ref::<String>().is_some_and(|msg| {
+            msg.starts_with("failed printing to stdout") && msg.contains("Broken pipe")
+        });
+        if closed_stdout {
+            std::process::exit(0);
+        }
+        default_hook(info);
+    }));
 }

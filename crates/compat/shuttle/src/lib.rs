@@ -75,6 +75,10 @@
 //!   false positives. Nothing in this workspace relies on SC-only order.
 //! * Only the types in [`sync::atomic`] and [`thread`] are instrumented;
 //!   `Mutex`/channels run on std and are invisible to the scheduler.
+#![allow(
+    clippy::disallowed_types,
+    reason = "the model checker instruments the std atomics it stands in for"
+)]
 
 mod exec;
 pub mod sync;

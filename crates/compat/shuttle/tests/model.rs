@@ -1,6 +1,10 @@
 //! Self-tests for the interleaving explorer: the checker must (a) pass
 //! correct protocols exhaustively, (b) find the classic bugs (lost
 //! updates, relaxed publication), and (c) respect its preemption bound.
+#![allow(
+    clippy::disallowed_types,
+    reason = "a std atomic outside the explorer records what the explored threads saw"
+)]
 
 use shuttle::sync::atomic::{AtomicU64, Ordering};
 use shuttle::{check, check_with, Config};

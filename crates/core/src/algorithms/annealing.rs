@@ -89,7 +89,10 @@ impl<S: Scheduler> Scheduler for AnnealingScheduler<S> {
 
     fn run(&self, inst: &Arc<SesInstance>, k: usize) -> Result<ScheduleOutcome, SesError> {
         let base_outcome = self.base.run(inst, k)?;
-        // ses-analyze: allow(wall-clock-in-core): elapsed feeds SolveStats reporting only, never decisions
+        #[allow(
+            clippy::disallowed_methods,
+            reason = "elapsed feeds SolveStats reporting only, never decisions"
+        )]
         let start = Instant::now();
         let mut rng = StdRng::seed_from_u64(self.config.seed);
         let mut engine = AttendanceEngine::with_schedule(inst, &base_outcome.schedule)

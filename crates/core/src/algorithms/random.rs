@@ -38,7 +38,10 @@ impl Scheduler for RandomScheduler {
 
     fn run(&self, inst: &Arc<SesInstance>, k: usize) -> Result<ScheduleOutcome, SesError> {
         validate_k(inst, k)?;
-        // ses-analyze: allow(wall-clock-in-core): elapsed feeds SolveStats reporting only, never decisions
+        #[allow(
+            clippy::disallowed_methods,
+            reason = "elapsed feeds SolveStats reporting only, never decisions"
+        )]
         let start = Instant::now();
         let mut rng = StdRng::seed_from_u64(self.seed);
         let mut engine = AttendanceEngine::new(inst);

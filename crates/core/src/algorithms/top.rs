@@ -55,7 +55,10 @@ impl Scheduler for TopScheduler {
 
     fn run(&self, inst: &Arc<SesInstance>, k: usize) -> Result<ScheduleOutcome, SesError> {
         validate_k(inst, k)?;
-        // ses-analyze: allow(wall-clock-in-core): elapsed feeds SolveStats reporting only, never decisions
+        #[allow(
+            clippy::disallowed_methods,
+            reason = "elapsed feeds SolveStats reporting only, never decisions"
+        )]
         let start = Instant::now();
         let mut engine = AttendanceEngine::new(inst);
         let mut pops = 0u64;

@@ -2,7 +2,7 @@
 //! explicitly chunked 4-wide over a contiguous `(slot, µ)` run.
 //!
 //! This module is the repo's only `unsafe` surface inside `crates/core`
-//! (enforced by `ses-analyze`'s `kernel-unsafe-confinement` lint): the
+//! (the workspace denies rustc's `unsafe_code` lint everywhere else): the
 //! column-local slots in a run are validated against the column length at
 //! construction, so the gathers skip the per-element bounds checks the
 //! optimizer cannot hoist through the `chunks_exact` structure.
@@ -17,6 +17,10 @@
 //! (`chunked_reduction_is_bit_identical_to_scalar` below pins it, and
 //! `tests/sparse_layout.rs` pins the whole engine against the hash-map
 //! oracle).
+#![allow(
+    unsafe_code,
+    reason = "the audited bounds-check elision of the chunked Eq. 4 kernel"
+)]
 
 /// One posting's Eq. 4 contribution, algebraically reduced.
 ///

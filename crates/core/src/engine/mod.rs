@@ -243,7 +243,10 @@ impl AttendanceEngine {
     /// Takes `&Arc` and clones the handle internally — callers keep their
     /// own handle and pay one refcount bump, never a deep copy.
     pub fn new(inst: &Arc<SesInstance>) -> Self {
-        // ses-analyze: allow(wall-clock-in-core): build timing is reported in EngineMemoryStats, never branched on or digested
+        #[allow(
+            clippy::disallowed_methods,
+            reason = "build timing is reported in EngineMemoryStats, never branched on or digested"
+        )]
         let build_start = std::time::Instant::now();
         let nt = inst.num_intervals();
         let nu = inst.num_users();

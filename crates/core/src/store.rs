@@ -36,9 +36,18 @@
 //! branch looks at an unvouched value. CSR monotonicity, value ranges and
 //! the transpose cross-check run after. Every failure is a typed
 //! [`StoreError`], never a panic, so a server can lazily open tenant
-//! files on the request path (the `server-panic-discipline` lint covers
-//! this module). With more than one core, the interest and activity
-//! section groups decode on scoped threads.
+//! files on the request path (this module denies clippy's `unwrap_used`,
+//! `expect_used`, `panic`, `unreachable` and `todo` lints). With more
+//! than one core, the interest and activity section groups decode on
+//! scoped threads.
+#![deny(
+    clippy::unwrap_used,
+    clippy::expect_used,
+    clippy::panic,
+    clippy::unreachable,
+    clippy::todo,
+    reason = "tenant files open lazily on the request path: a corrupt file answers a structured 500"
+)]
 
 use crate::activity::ActivityModel;
 use crate::ids::{CompetingEventId, EventId, IntervalId, LocationId, UserId};
@@ -63,7 +72,7 @@ const FNV_PRIME: u64 = 0x0100_0000_01b3;
 /// site hands over an exactly-sized window (`chunks_exact`, `split_at`,
 /// `take_slice(N)`), so the zero fallback is unreachable — spelled
 /// without `expect` to keep this module panic-free *by construction*
-/// (the `server-panic-discipline` lint covers it), and any
+/// (the module denies `clippy::expect_used`), and any
 /// hypothetically wrong width would still be caught by the section
 /// checksum or the value validation downstream.
 #[inline]

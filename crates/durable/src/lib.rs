@@ -16,9 +16,9 @@
 //! * **recovery** ([`recover_sessions`]) — replaying snapshot + WAL tail
 //!   through [`SchedulerService::apply`], the same code path that produced
 //!   the pre-crash state. Torn tails are detected by checksum and cleanly
-//!   truncated; corruption is a typed [`WalError`], never a panic (this
-//!   crate's request-path files are under the workspace
-//!   `server-panic-discipline` lint).
+//!   truncated; corruption is a typed [`WalError`], never a panic
+//!   (`wal.rs` and `recover.rs` deny clippy's `unwrap_used`,
+//!   `expect_used`, `panic`, `unreachable` and `todo` lints).
 //!
 //! Because the log stores *requests*, not state, recovery correctness
 //! reduces to the determinism the workspace already pins: the

@@ -14,6 +14,14 @@
 //!
 //! [`SessionOpen`]: ses_service::SessionOpen
 //! [`SchedulerService::apply`]: ses_service::SchedulerService::apply
+#![deny(
+    clippy::unwrap_used,
+    clippy::expect_used,
+    clippy::panic,
+    clippy::unreachable,
+    clippy::todo,
+    reason = "shard workers append and recover: a torn or corrupt log comes back as a typed WalError"
+)]
 
 use crate::wal::{RecoveredLog, RecoveredSession};
 use serde::{Deserialize, Serialize};

@@ -31,6 +31,14 @@
 //! [`SchedulerService::apply`]: ses_service::SchedulerService::apply
 //! [`SessionOpen`]: ses_service::SessionOpen
 //! [`SessionEvent`]: ses_service::SessionEvent
+#![deny(
+    clippy::unwrap_used,
+    clippy::expect_used,
+    clippy::panic,
+    clippy::unreachable,
+    clippy::todo,
+    reason = "shard workers append and recover: a torn or corrupt log comes back as a typed WalError"
+)]
 
 use serde::{Deserialize, Serialize};
 use ses_core::FoldState;

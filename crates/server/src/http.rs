@@ -8,6 +8,14 @@
 //! `Expect: 100-continue`. Chunked transfer encoding is intentionally
 //! rejected — every client of this server (the CLI load generator, the
 //! replay checker, curl with `-d`) sends sized bodies.
+#![deny(
+    clippy::unwrap_used,
+    clippy::expect_used,
+    clippy::panic,
+    clippy::unreachable,
+    clippy::todo,
+    reason = "request path: a panic kills a shard worker, not a request"
+)]
 
 use std::io::{BufRead, Write};
 

@@ -8,6 +8,18 @@
 //! the cumulative bucket counts with bounded relative error. The report
 //! also folds in the span-stage latency distributions that the tracing
 //! layer accumulates process-wide ([`ses_obs::stage_latencies`]).
+#![deny(
+    clippy::unwrap_used,
+    clippy::expect_used,
+    clippy::panic,
+    clippy::unreachable,
+    clippy::todo,
+    reason = "request path: a panic kills a shard worker, not a request"
+)]
+#![allow(
+    clippy::disallowed_types,
+    reason = "the shard gauges and status counters are model-checked atomics"
+)]
 
 use serde::{Deserialize, Serialize};
 use ses_core::EngineCounters;

@@ -29,6 +29,18 @@
 //! exit when the last request sender is dropped.
 //!
 //! [`SchedulerService`]: ses_service::SchedulerService
+#![deny(
+    clippy::unwrap_used,
+    clippy::expect_used,
+    clippy::panic,
+    clippy::unreachable,
+    clippy::todo,
+    reason = "request path: a panic kills a shard worker, not a request"
+)]
+#![allow(
+    clippy::disallowed_types,
+    reason = "the shutdown flags and connection counters are audited atomics"
+)]
 
 use crate::http::{self, RecvError};
 use crate::metrics::{
@@ -199,6 +211,10 @@ static SIGNAL_SHUTDOWN: AtomicBool = AtomicBool::new(false);
 /// [`ServerHandle::shutdown`] instead). The handler only stores to an
 /// atomic — the async-signal-safe minimum.
 #[cfg(unix)]
+#[allow(
+    unsafe_code,
+    reason = "registering the handler is a libc call; std has no safe API for it"
+)]
 pub fn install_signal_handlers() {
     extern "C" fn on_signal(_signum: i32) {
         SIGNAL_SHUTDOWN.store(true, Ordering::SeqCst);
@@ -430,11 +446,14 @@ pub fn serve(cfg: &ServerConfig) -> std::io::Result<ServerHandle> {
         let registry = Arc::clone(&registry);
         let gauge = Arc::clone(gauge);
         shard_senders.push(tx);
+        #[allow(
+            clippy::expect_used,
+            reason = "boot-time spawn, fails fast before serving"
+        )]
         shard_threads.push(
             std::thread::Builder::new()
                 .name(format!("ses-shard-{i}"))
                 .spawn(move || run_shard(registry, rx, i, gauge, wal))
-                // ses-analyze: allow(server-panic-discipline): boot-time spawn, fails fast before serving
                 .expect("spawn shard worker"),
         );
     }
@@ -472,6 +491,10 @@ pub fn serve(cfg: &ServerConfig) -> std::io::Result<ServerHandle> {
         let state = Arc::clone(&state);
         let conn_rx = Arc::clone(&conn_rx);
         let senders = shard_senders.clone();
+        #[allow(
+            clippy::expect_used,
+            reason = "boot-time spawn, fails fast before serving"
+        )]
         pool.push(
             std::thread::Builder::new()
                 .name(format!("ses-conn-{i}"))
@@ -488,18 +511,20 @@ pub fn serve(cfg: &ServerConfig) -> std::io::Result<ServerHandle> {
                         Err(_) => break, // acceptor gone, pool drains
                     }
                 })
-                // ses-analyze: allow(server-panic-discipline): boot-time spawn, fails fast before serving
                 .expect("spawn connection handler"),
         );
     }
 
     let acceptor_state = Arc::clone(&state);
+    #[allow(
+        clippy::expect_used,
+        reason = "boot-time spawn, fails fast before serving"
+    )]
     let acceptor = std::thread::Builder::new()
         .name("ses-acceptor".to_owned())
         .spawn(move || {
             accept_loop(listener, conn_tx, acceptor_state, shard_senders);
         })
-        // ses-analyze: allow(server-panic-discipline): boot-time spawn, fails fast before serving
         .expect("spawn acceptor");
 
     ses_obs::log(

@@ -14,6 +14,14 @@
 //! the operation inside that trace's scope, so engine-internal spans
 //! (solve, select, apply, repair, …) recorded on the shard thread attach to
 //! the originating HTTP request.
+#![deny(
+    clippy::unwrap_used,
+    clippy::expect_used,
+    clippy::panic,
+    clippy::unreachable,
+    clippy::todo,
+    reason = "request path: a panic kills a shard worker, not a request"
+)]
 
 use crate::metrics::{EngineTotals, ShardGauge};
 use serde::{Deserialize, Serialize};

@@ -55,6 +55,10 @@
 
 #![warn(missing_docs)]
 #![warn(rust_2018_idioms)]
+#![deny(
+    clippy::disallowed_methods,
+    reason = "a wall clock must never steer a decision in the deterministic layers"
+)]
 
 pub mod disruption;
 pub mod scenario;

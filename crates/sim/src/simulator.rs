@@ -282,7 +282,10 @@ impl Simulator {
     pub fn run(&mut self, steps: u64) -> SimSummary {
         let counters_start = self.session().counters();
         let rejected_start = self.rejected;
-        // ses-analyze: allow(wall-clock-in-core): elapsed feeds SimSummary throughput reporting only, never decisions
+        #[allow(
+            clippy::disallowed_methods,
+            reason = "elapsed feeds SimSummary throughput reporting only, never decisions"
+        )]
         let start = Instant::now();
         let mut applied = 0u64;
         let mut skipped = 0u64;

@@ -1,26 +1,129 @@
-//! Blocked per-interval column storage (the sparse slot index) and the
-//! per-`(interval, event)` posting runs resolved against it.
+//! The immutable per-instance engine skeleton: the slot index, the blocked
+//! per-interval column index, the per-`(interval, event)` posting runs
+//! resolved against it, and the initial competing mass `B₀`.
 //!
 //! The dense layout this replaces kept `|T| · stride` slots per aggregate
 //! column. Here each interval `t` owns a compact column holding only the
-//! ranks with `σ(u,t) > 0` — CSR offsets into flat `ranks`/`b`/`m`/`σ`/count
-//! arrays — so resident memory is `O(nnz + |T|)` where
-//! `nnz = Σ_t |{r : σ(u_r,t) > 0}|`. A slot with `σ(u,t) = 0` is provably
-//! inert: every read path multiplies it by `σ` (scores, losses, attendance
-//! probabilities, interval utilities), its term is `±0.0`, and partial sums
-//! never sit at `-0.0`, so dropping the slot keeps every result bit-identical
-//! to the dense layout (the contract `crates/core/tests/sparse_layout.rs`
-//! pins against the hash-map oracle).
+//! ranks with `σ(u,t) > 0` — CSR offsets into flat `ranks`/`σ` arrays, with
+//! the engine's `B`/`M`/count arrays parallel to them — so resident memory
+//! is `O(nnz + |T|)` where `nnz = Σ_t |{r : σ(u_r,t) > 0}|`. A slot with
+//! `σ(u,t) = 0` is provably inert: every read path multiplies it by `σ`
+//! (scores, losses, attendance probabilities, interval utilities), its term
+//! is `±0.0`, and partial sums never sit at `-0.0`, so dropping the slot
+//! keeps every result bit-identical to the dense layout (the contract
+//! `crates/core/tests/sparse_layout.rs` pins against the hash-map oracle).
 //!
 //! Columns are built from the activity model in two
 //! [`ActivityModel::for_each_active`] passes — count, prefix-sum, scatter —
 //! without ever materializing a dense `|U| × |T|` intermediate, which is what
 //! lets million-user instances construct in `O(nnz)`.
+//!
+//! Everything here is a pure function of the instance, so
+//! [`EngineSkeleton::build`] runs once per instance (the instance caches it)
+//! and every engine on that instance reads the same skeleton.
 
 use crate::activity::ActivityModel;
-use crate::ids::UserId;
+use crate::ids::{EventId, UserId};
+use crate::instance::SesInstance;
 
-/// The per-interval blocked columns: CSR offsets plus parallel value arrays.
+/// Rank sentinel for users outside the slot index (no posting anywhere).
+pub(crate) const NO_RANK: u32 = u32::MAX;
+
+/// The instance-derived index every engine on one instance shares.
+///
+/// It holds exactly what no engine operation mutates. The engine's own
+/// state (`B`, `M`, counts, schedule, trackers, clock) lives in the engine;
+/// its `B` starts as a copy of [`Self::b0`].
+pub(crate) struct EngineSkeleton {
+    /// `rank_of[u]` — the user's dense rank in the slot index, or
+    /// [`NO_RANK`] for users outside it.
+    pub(crate) rank_of: Vec<u32>,
+    /// `resolved[e]` — event `e`'s posting list as `(rank, µ)` pairs.
+    pub(crate) resolved: Vec<Box<[(u32, f64)]>>,
+    /// The blocked per-interval column index (CSR offsets, ranks, `σ`).
+    pub(crate) cols: IntervalColumns,
+    /// Per-`(interval, event)` posting runs against partial columns.
+    pub(crate) runs: ResolvedRuns,
+    /// The instance's competing mass `B₀` per slot (parallel to
+    /// `cols.ranks`).
+    pub(crate) b0: Vec<f64>,
+}
+
+impl EngineSkeleton {
+    /// Builds the slot index from the union of the candidate posting lists,
+    /// pre-resolves every candidate event's postings to `(rank, µ)` pairs,
+    /// builds the blocked `σ`-columns and per-interval runs, and accumulates
+    /// the competing masses `B₀` — `O(nnz + |T| + Σ_h |postings(h)|)` plus
+    /// the run resolution over partial columns, never a dense `|T|·stride`
+    /// pass.
+    pub(crate) fn build(inst: &SesInstance) -> Self {
+        let nu = inst.num_users();
+        let interest = inst.interest();
+
+        // Union of *candidate* posting lists → dense ranks, in user-id
+        // order. Users appearing only in competing posting lists get no
+        // slot: they can never accrue scheduled mass, so every read path
+        // (scores, attendances, interval utilities) provably never consults
+        // their aggregates — indexing them would only inflate the columns.
+        let mut in_index = vec![false; nu];
+        for e in 0..inst.num_events() {
+            for &(u, _) in interest.interested_users(EventId::new(e as u32).into()) {
+                in_index[u.index()] = true;
+            }
+        }
+        let mut rank_of = vec![NO_RANK; nu];
+        let mut users: Vec<UserId> = Vec::new();
+        for (u, &active) in in_index.iter().enumerate() {
+            if active {
+                rank_of[u] = users.len() as u32;
+                users.push(UserId::new(u as u32));
+            }
+        }
+
+        // Pre-resolve candidate posting lists to (rank, µ).
+        let resolved: Vec<Box<[(u32, f64)]>> = (0..inst.num_events())
+            .map(|e| {
+                interest
+                    .interested_users(EventId::new(e as u32).into())
+                    .iter()
+                    .map(|&(u, mu)| (rank_of[u.index()], mu))
+                    .collect()
+            })
+            .collect();
+
+        // Blocked σ-columns: only `σ(u,t) > 0` slots are resident.
+        let cols = IntervalColumns::build(inst.activity(), &users, inst.num_intervals());
+
+        // Competing mass. Competing-only users have no rank and σ = 0 slots
+        // have no storage — both are skipped, and both are provably never
+        // read (every consumer multiplies by σ, see the engine module docs).
+        let mut b0 = vec![0.0; cols.nnz()];
+        for c in inst.competing() {
+            let t = c.interval.index();
+            for &(u, mu) in interest.interested_users(c.id.into()) {
+                let r = rank_of[u.index()];
+                if r != NO_RANK {
+                    if let Some(i) = cols.slot_of(t, r) {
+                        b0[i] += mu;
+                    }
+                }
+            }
+        }
+
+        let runs = ResolvedRuns::build(&cols, &resolved);
+        Self {
+            rank_of,
+            resolved,
+            cols,
+            runs,
+            b0,
+        }
+    }
+}
+
+/// The per-interval blocked column index: CSR offsets plus the parallel
+/// rank and `σ` arrays. The engine keeps its `B`/`M`/count arrays parallel
+/// to these (same flat slot index).
 ///
 /// `offsets[t]..offsets[t+1]` is interval `t`'s column; `ranks` within a
 /// column are strictly ascending (users are scattered in rank order, each
@@ -35,14 +138,8 @@ pub(crate) struct IntervalColumns {
     pub(crate) offsets: Vec<usize>,
     /// Rank ids per slot, ascending within each column.
     pub(crate) ranks: Vec<u32>,
-    /// Competing mass `B` per slot.
-    pub(crate) b: Vec<f64>,
-    /// Scheduled mass `M` per slot.
-    pub(crate) m: Vec<f64>,
     /// `σ(u,t)` snapshot per slot (strictly positive by construction).
     pub(crate) sigma: Vec<f64>,
-    /// Contributing-event count per slot (see the engine's zero-snap note).
-    pub(crate) mcount: Vec<u32>,
 }
 
 impl IntervalColumns {
@@ -93,10 +190,7 @@ impl IntervalColumns {
             stride,
             offsets,
             ranks,
-            b: vec![0.0; nnz],
-            m: vec![0.0; nnz],
             sigma,
-            mcount: vec![0; nnz],
         }
     }
 
@@ -134,8 +228,10 @@ impl IntervalColumns {
         self.ranks.len()
     }
 
-    /// Bytes resident in the column arrays (ranks + offsets + the four
-    /// parallel value columns).
+    /// Bytes resident in the column arrays one engine reads: the shared
+    /// ranks, offsets and `σ` plus the engine's own `B`/`M`/count. The
+    /// skeleton's `B₀` template is not counted: it is one more `f64` per
+    /// slot per instance, not per engine.
     pub(crate) fn resident_bytes(&self) -> u64 {
         let per_slot = size_of::<u32>()      // ranks
             + 3 * size_of::<f64>()           // b, m, sigma

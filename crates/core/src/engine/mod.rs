@@ -23,12 +23,13 @@
 //! events — Eq. 4 accounts for that).
 //!
 //! The aggregates are **not** hash maps, and they are **not** a dense
-//! `|T| × union` matrix either. At construction the engine builds a *slot
+//! `|T| × union` matrix either. The first engine on an instance builds a *slot
 //! index* over the union of the candidate posting lists: each indexed user
 //! gets a dense rank `r ∈ [0, stride)`. Per interval, only the ranks with
 //! `σ(u,t) > 0` get a slot: interval `t` owns a compact *column* of those
-//! ranks (CSR offsets + rank ids + parallel `B`/`M`/count/`σ` arrays — see
-//! the `columns` module), because a `σ = 0` slot is provably inert: every read path
+//! ranks (CSR offsets + rank ids + `σ` in the shared column index, with the
+//! engine's `B`/`M`/count arrays parallel to them — see the `columns`
+//! module), because a `σ = 0` slot is provably inert: every read path
 //! multiplies it by `σ`, so its term is `±0.0` and dropping it keeps all
 //! results bit-identical to the dense layout. Resident memory is
 //! `O(nnz + |T|)` instead of `O(|T|·|union|)`, which is what lets
@@ -74,6 +75,25 @@
 //! paired delta API: one fresh Eq. 4 evaluation plus the generation tag it
 //! is valid at, which is what the CELF-style lazy greedy stores in its heap
 //! entries (see `algorithms::greedy_heap` and DESIGN.md §7).
+//!
+//! # Shared skeleton, per-engine state
+//!
+//! The slot index, the pre-resolved postings, the column index (CSR
+//! offsets, ranks, `σ`), the posting runs and the instance's competing
+//! mass `B₀` depend only on the instance, and no engine operation writes
+//! to them. They form the instance's *skeleton*, built by the first
+//! [`AttendanceEngine::new`] on an instance, cached on the
+//! [`SesInstance`] and read by every later engine through the `Arc` it
+//! already holds. Each engine owns only what it mutates: `B` (a copy of
+//! `B₀`, since [`AttendanceEngine::add_competing_mass`] moves it), `M`,
+//! the contributing-event counts, the schedule, the feasibility trackers,
+//! the budget, the clock and generations, Ω and the counters.
+//!
+//! The kernel, its inputs and their order are exactly those of an engine
+//! that built its own index, so every score, schedule, Ω bit and counter
+//! is bit-identical. The price is lifetime: the skeleton lives as long as
+//! the instance, also while no engine is alive on it — one skeleton per
+//! instance in use (DESIGN.md §11).
 
 mod columns;
 mod kernel;
@@ -83,12 +103,10 @@ use crate::instance::{FeasibilityViolation, SesInstance};
 use crate::schedule::{Schedule, ScheduleError};
 use crate::util::float::luce_ratio;
 use crate::util::fxhash::FxHashMap;
-use columns::{IntervalColumns, ResolvedRuns};
+pub(crate) use columns::EngineSkeleton;
+use columns::NO_RANK;
 use serde::{Deserialize, Serialize};
 use std::sync::Arc;
-
-/// Rank sentinel for users outside the slot index (no posting anywhere).
-const NO_RANK: u32 = u32::MAX;
 
 /// Operation counters, for the paper's complexity claims and the benches.
 ///
@@ -150,7 +168,8 @@ impl EngineCounters {
 /// `column_slots` vs `dense_slots` is the layout's headline ratio: the
 /// number of `(t, rank)` slots actually resident against what the dense
 /// uniform-stride layout would have allocated. All byte counts are exact
-/// (element sizes × lengths), so two engines on the same instance report
+/// (element sizes × lengths) and count the shared skeleton's columns and
+/// runs for every engine, so two engines on the same instance report
 /// identical values — only `build_millis` is wall-clock.
 #[derive(Debug, Clone, Copy, Default, PartialEq, Serialize, Deserialize)]
 pub struct EngineMemoryStats {
@@ -163,8 +182,12 @@ pub struct EngineMemoryStats {
     /// Bytes in the per-`(interval, event)` run arrays (zero when every
     /// column is full — dense-era instances pay nothing).
     pub run_bytes: u64,
-    /// Wall-clock milliseconds spent building the slot index, columns and
-    /// runs. Reporting only — never branched on, never digested.
+    /// Wall-clock milliseconds of the engine's constructor. The first
+    /// engine on an instance builds the shared slot index, columns and runs
+    /// and pays for them here; every later engine on the same instance only
+    /// copies `B₀` and zeroes `M` (so in `bench_engine` only the first
+    /// algorithm on an instance reports the index build). Reporting only —
+    /// never branched on, never digested.
     pub build_millis: f64,
 }
 
@@ -200,17 +223,19 @@ impl EngineMemoryStats {
 /// All mutating operations keep the cached aggregates, the feasibility
 /// trackers and the running utility consistent.
 pub struct AttendanceEngine {
+    /// The instance, and through it the shared immutable skeleton (slot
+    /// index, column index, `σ`, posting runs, `B₀`).
     inst: Arc<SesInstance>,
     schedule: Schedule,
-    /// `rank_of[u]` — the user's dense rank in the slot index, or
-    /// [`NO_RANK`] for users outside it.
-    rank_of: Vec<u32>,
-    /// `resolved[e]` — event `e`'s posting list as `(rank, µ)` pairs.
-    resolved: Vec<Box<[(u32, f64)]>>,
-    /// The blocked per-interval aggregate columns (`B`/`M`/count/`σ`).
-    cols: IntervalColumns,
-    /// Per-`(interval, event)` posting runs against partial columns.
-    runs: ResolvedRuns,
+    /// Competing mass `B` per slot, parallel to the skeleton's column
+    /// index. Starts as a copy of the skeleton's `B₀`;
+    /// [`Self::add_competing_mass`] moves it.
+    b: Vec<f64>,
+    /// Scheduled mass `M` per slot.
+    m: Vec<f64>,
+    /// Contributing-event count per slot (see the zero-snap note in
+    /// [`Self::unassign`]).
+    mcount: Vec<u32>,
     /// Construction-time memory/build accounting (immutable thereafter).
     memory: EngineMemoryStats,
     /// Per-interval resources in use.
@@ -233,12 +258,15 @@ pub struct AttendanceEngine {
 }
 
 impl AttendanceEngine {
-    /// Creates an engine with an empty schedule. Builds the slot index from
-    /// the union of the candidate posting lists, pre-resolves every
-    /// candidate event's postings to `(rank, µ)` pairs, builds the blocked
-    /// `σ`-columns and per-interval runs, and accumulates the competing
-    /// masses `B_t` — `O(nnz + |T| + Σ_h |postings(h)|)` plus the run
-    /// resolution over partial columns, never a dense `|T|·stride` pass.
+    /// Creates an engine with an empty schedule on `inst`.
+    ///
+    /// The instance-derived part — slot index, pre-resolved postings,
+    /// blocked `σ`-columns, per-interval runs and the competing masses
+    /// `B₀` — is the instance's skeleton, built by the first engine on the
+    /// instance in `O(nnz + |T| + Σ_h |postings(h)|)` plus the run
+    /// resolution over partial columns, and shared by every later one. The
+    /// engine itself only copies `B₀` and zeroes `M` and the counts:
+    /// `O(nnz + |T|)` flat array writes.
     ///
     /// Takes `&Arc` and clones the handle internally — callers keep their
     /// own handle and pay one refcount bump, never a deep copy.
@@ -249,74 +277,22 @@ impl AttendanceEngine {
         )]
         let build_start = std::time::Instant::now();
         let nt = inst.num_intervals();
-        let nu = inst.num_users();
-        let interest = inst.interest();
-
-        // Union of *candidate* posting lists → dense ranks, in user-id
-        // order. Users appearing only in competing posting lists get no
-        // slot: they can never accrue scheduled mass, so every read path
-        // (scores, attendances, interval utilities) provably never consults
-        // their aggregates — indexing them would only inflate the columns.
-        let mut in_index = vec![false; nu];
-        for e in 0..inst.num_events() {
-            for &(u, _) in interest.interested_users(EventId::new(e as u32).into()) {
-                in_index[u.index()] = true;
-            }
-        }
-        let mut rank_of = vec![NO_RANK; nu];
-        let mut users: Vec<UserId> = Vec::new();
-        for (u, &active) in in_index.iter().enumerate() {
-            if active {
-                rank_of[u] = users.len() as u32;
-                users.push(UserId::new(u as u32));
-            }
-        }
-
-        // Pre-resolve candidate posting lists to (rank, µ).
-        let resolved: Vec<Box<[(u32, f64)]>> = (0..inst.num_events())
-            .map(|e| {
-                interest
-                    .interested_users(EventId::new(e as u32).into())
-                    .iter()
-                    .map(|&(u, mu)| (rank_of[u.index()], mu))
-                    .collect()
-            })
-            .collect();
-
-        // Blocked σ-columns: only `σ(u,t) > 0` slots are resident.
-        let mut cols = IntervalColumns::build(inst.activity(), &users, nt);
-
-        // Competing mass. Competing-only users have no rank and σ = 0 slots
-        // have no storage — both are skipped, and both are provably never
-        // read (every consumer multiplies by σ, see the module docs).
-        for c in inst.competing() {
-            let t = c.interval.index();
-            for &(u, mu) in interest.interested_users(c.id.into()) {
-                let r = rank_of[u.index()];
-                if r != NO_RANK {
-                    if let Some(i) = cols.slot_of(t, r) {
-                        cols.b[i] += mu;
-                    }
-                }
-            }
-        }
-
-        let runs = ResolvedRuns::build(&cols, &resolved);
+        let skel = inst.engine_skeleton();
+        let nnz = skel.cols.nnz();
         let memory = EngineMemoryStats {
-            column_slots: cols.nnz() as u64,
-            dense_slots: nt as u64 * cols.stride as u64,
-            resident_column_bytes: cols.resident_bytes(),
-            run_bytes: runs.resident_bytes(),
+            column_slots: nnz as u64,
+            dense_slots: nt as u64 * skel.cols.stride as u64,
+            resident_column_bytes: skel.cols.resident_bytes(),
+            run_bytes: skel.runs.resident_bytes(),
             build_millis: build_start.elapsed().as_secs_f64() * 1e3,
         };
 
         Self {
             inst: Arc::clone(inst),
             schedule: inst.empty_schedule(),
-            rank_of,
-            resolved,
-            cols,
-            runs,
+            b: skel.b0.clone(),
+            m: vec![0.0; nnz],
+            mcount: vec![0; nnz],
             memory,
             used_resources: vec![0.0; nt],
             used_locations: vec![FxHashMap::default(); nt],
@@ -353,6 +329,13 @@ impl AttendanceEngine {
         &self.inst
     }
 
+    /// The shared skeleton this engine reads (tests compare its address
+    /// across engines).
+    #[cfg(test)]
+    fn skeleton(&self) -> &EngineSkeleton {
+        self.inst.engine_skeleton()
+    }
+
     /// The current schedule.
     #[inline]
     pub fn schedule(&self) -> &Schedule {
@@ -387,7 +370,7 @@ impl AttendanceEngine {
     /// use to balance their shards.
     #[inline]
     pub fn column_len(&self, interval: IntervalId) -> usize {
-        self.cols.len(interval.index())
+        self.inst.engine_skeleton().cols.len(interval.index())
     }
 
     /// Resets the operation counters (the aggregates are untouched).
@@ -528,21 +511,22 @@ impl AttendanceEngine {
         counters: &mut EngineCounters,
     ) -> f64 {
         counters.score_evaluations += 1;
+        let skel = self.inst.engine_skeleton();
         let t = interval.index();
-        let start = self.cols.offsets[t];
-        let end = self.cols.offsets[t + 1];
-        let run = self.runs.run(
-            &self.resolved,
+        let start = skel.cols.offsets[t];
+        let end = skel.cols.offsets[t + 1];
+        let run = skel.runs.run(
+            &skel.resolved,
             event.index(),
             t,
-            end - start == self.cols.stride,
+            end - start == skel.cols.stride,
         );
         counters.posting_visits += run.len() as u64;
         kernel::score_run(
             run,
-            &self.cols.b[start..end],
-            &self.cols.m[start..end],
-            &self.cols.sigma[start..end],
+            &self.b[start..end],
+            &self.m[start..end],
+            &skel.cols.sigma[start..end],
         )
     }
 
@@ -620,9 +604,10 @@ impl AttendanceEngine {
             .assign(event, interval)
             .expect("validated assignment must apply");
         let t = interval.index();
-        let start = self.cols.offsets[t];
-        let full = self.cols.offsets[t + 1] - start == self.cols.stride;
-        let run = self.runs.run(&self.resolved, event.index(), t, full);
+        let skel = self.inst.engine_skeleton();
+        let start = skel.cols.offsets[t];
+        let full = skel.cols.offsets[t + 1] - start == skel.cols.stride;
+        let run = skel.runs.run(&skel.resolved, event.index(), t, full);
         // A run that moves no mass (empty posting list, or every posting
         // aimed at a σ = 0 user) leaves the column bit-identical: validity
         // state changes but no score can, so the generation stays put
@@ -631,8 +616,8 @@ impl AttendanceEngine {
         let touched = !run.is_empty();
         for &(slot, mu) in run {
             let i = start + slot as usize;
-            self.cols.m[i] += mu;
-            self.cols.mcount[i] += 1;
+            self.m[i] += mu;
+            self.mcount[i] += 1;
         }
         if touched {
             self.touch(interval);
@@ -650,33 +635,34 @@ impl AttendanceEngine {
     pub fn unassign(&mut self, event: EventId) -> Result<f64, ScheduleError> {
         let interval = self.schedule.unassign(event)?;
         let t = interval.index();
-        let start = self.cols.offsets[t];
-        let full = self.cols.offsets[t + 1] - start == self.cols.stride;
-        let run = self.runs.run(&self.resolved, event.index(), t, full);
+        let skel = self.inst.engine_skeleton();
+        let start = skel.cols.offsets[t];
+        let full = skel.cols.offsets[t + 1] - start == skel.cols.stride;
+        let run = skel.runs.run(&skel.resolved, event.index(), t, full);
         let touched = !run.is_empty();
         let mut loss = 0.0;
         for &(slot, mu) in run {
             let i = start + slot as usize;
-            let (b, m) = (self.cols.b[i], self.cols.m[i]);
+            let (b, m) = (self.b[i], self.m[i]);
             debug_assert!(
-                self.cols.mcount[i] > 0,
+                self.mcount[i] > 0,
                 "posting user must have a mass entry while assigned"
             );
-            self.cols.mcount[i] -= 1;
+            self.mcount[i] -= 1;
             // Snap to exactly zero when the last contributor leaves: the
             // Luce ratio `M/(B+M)` is scale-invariant, so with `B = 0` a
             // floating-point residue of `1e-16` left in `M` would evaluate
             // to `1.0` — a whole phantom user of utility. The count makes
             // unassign an exact inverse of assign.
-            let m_new = if self.cols.mcount[i] == 0 {
+            let m_new = if self.mcount[i] == 0 {
                 0.0
             } else {
                 (m - mu).max(0.0)
             };
-            self.cols.m[i] = m_new;
+            self.m[i] = m_new;
             let before = luce_ratio(m, b + m);
             let after = luce_ratio(m_new, b + m_new);
-            loss += self.cols.sigma[i] * (before - after);
+            loss += skel.cols.sigma[i] * (before - after);
         }
         if touched {
             self.touch(interval);
@@ -698,9 +684,10 @@ impl AttendanceEngine {
         // candidate interest anywhere, or σ(u,t) = 0 at this interval — the
         // σ factor below zeroes the probability in the latter case exactly
         // as the dense layout did.
-        let (b, m) = match self.rank_of.get(user.index()) {
-            Some(&r) if r != NO_RANK => match self.cols.slot_of(interval.index(), r) {
-                Some(i) => (self.cols.b[i], self.cols.m[i]),
+        let skel = self.inst.engine_skeleton();
+        let (b, m) = match skel.rank_of.get(user.index()) {
+            Some(&r) if r != NO_RANK => match skel.cols.slot_of(interval.index(), r) {
+                Some(i) => (self.b[i], self.m[i]),
                 None => (0.0, 0.0),
             },
             _ => (0.0, 0.0),
@@ -713,13 +700,14 @@ impl AttendanceEngine {
     pub fn expected_attendance(&self, event: EventId) -> Option<f64> {
         let interval = self.schedule.interval_of(event)?;
         let t = interval.index();
-        let start = self.cols.offsets[t];
-        let full = self.cols.offsets[t + 1] - start == self.cols.stride;
-        let run = self.runs.run(&self.resolved, event.index(), t, full);
+        let skel = self.inst.engine_skeleton();
+        let start = skel.cols.offsets[t];
+        let full = skel.cols.offsets[t + 1] - start == skel.cols.stride;
+        let run = skel.runs.run(&skel.resolved, event.index(), t, full);
         let mut sum = 0.0;
         for &(slot, mu) in run {
             let i = start + slot as usize;
-            sum += self.cols.sigma[i] * luce_ratio(mu, self.cols.b[i] + self.cols.m[i]);
+            sum += skel.cols.sigma[i] * luce_ratio(mu, self.b[i] + self.m[i]);
         }
         Some(sum)
     }
@@ -727,11 +715,12 @@ impl AttendanceEngine {
     /// Total expected attendance of one interval: `Σ_{e ∈ E_t(S)} ω(e,t)`.
     pub fn interval_utility(&self, interval: IntervalId) -> f64 {
         let t = interval.index();
+        let cols = &self.inst.engine_skeleton().cols;
         let mut sum = 0.0;
-        for i in self.cols.offsets[t]..self.cols.offsets[t + 1] {
-            let m = self.cols.m[i];
+        for i in cols.offsets[t]..cols.offsets[t + 1] {
+            let m = self.m[i];
             if m > 0.0 {
-                sum += self.cols.sigma[i] * luce_ratio(m, self.cols.b[i] + m);
+                sum += cols.sigma[i] * luce_ratio(m, self.b[i] + m);
             }
         }
         sum
@@ -781,27 +770,28 @@ impl AttendanceEngine {
     /// or probability.
     pub fn add_competing_mass(&mut self, interval: IntervalId, postings: &[(UserId, f64)]) -> f64 {
         let t = interval.index();
+        let skel = self.inst.engine_skeleton();
         let mut delta = 0.0;
         let mut touched = false;
         for &(u, mu_c) in postings {
             debug_assert!((0.0..=1.0).contains(&mu_c), "competing µ out of range");
-            let Some(&r) = self.rank_of.get(u.index()) else {
+            let Some(&r) = skel.rank_of.get(u.index()) else {
                 continue;
             };
             if r == NO_RANK || mu_c <= 0.0 {
                 continue;
             }
-            let Some(i) = self.cols.slot_of(t, r) else {
+            let Some(i) = skel.cols.slot_of(t, r) else {
                 continue;
             };
-            let b_old = self.cols.b[i];
-            self.cols.b[i] = b_old + mu_c;
+            let b_old = self.b[i];
+            self.b[i] = b_old + mu_c;
             touched = true;
-            let m = self.cols.m[i];
+            let m = self.m[i];
             if m > 0.0 {
                 let before = luce_ratio(m, b_old + m);
                 let after = luce_ratio(m, b_old + mu_c + m);
-                delta += self.cols.sigma[i] * (after - before);
+                delta += skel.cols.sigma[i] * (after - before);
             }
         }
         // Only a landed posting dirties the interval: mass aimed entirely at
@@ -1414,6 +1404,130 @@ mod tests {
             sum.resident_column_bytes,
             m.resident_column_bytes + dm.resident_column_bytes
         );
+    }
+
+    #[test]
+    fn engines_on_one_instance_share_the_skeleton() {
+        let inst = sparse_inst();
+        let a = AttendanceEngine::new(&inst);
+        let b = AttendanceEngine::new(&inst);
+        assert!(std::ptr::eq(a.skeleton(), b.skeleton()));
+        // An equal but separately built instance has a skeleton of its own.
+        let other = AttendanceEngine::new(&sparse_inst());
+        assert!(!std::ptr::eq(a.skeleton(), other.skeleton()));
+        // Byte accounting still counts the skeleton for every engine.
+        assert_eq!(a.memory_stats().column_slots, b.memory_stats().column_slots);
+        assert_eq!(
+            a.memory_stats().total_resident_bytes(),
+            b.memory_stats().total_resident_bytes()
+        );
+    }
+
+    #[test]
+    fn engine_mutations_do_not_leak_into_the_shared_skeleton() {
+        // Partial columns (sparse_inst) and a competing-heavy instance with
+        // a non-zero B₀ (medium_instance).
+        let make: [fn() -> Arc<SesInstance>; 2] =
+            [sparse_inst, || crate::testkit::medium_instance(7)];
+        for build in make {
+            let inst = build();
+            let mut a = AttendanceEngine::new(&inst);
+            for ti in 0..inst.num_intervals() as u32 {
+                let postings: Vec<(UserId, f64)> =
+                    (0..inst.num_users() as u32).map(|r| (u(r), 0.6)).collect();
+                assert!(a.add_competing_mass(t(ti), &postings) <= 0.0);
+            }
+            a.set_budget(inst.budget() * 2.0);
+            a.assign(e(0), t(0)).unwrap();
+            a.assign(e(1), t(1)).unwrap();
+            a.unassign(e(0)).unwrap();
+
+            let mut shared = AttendanceEngine::new(&inst);
+            let mut fresh = AttendanceEngine::new(&build());
+            assert_eq!(shared.budget(), fresh.budget());
+            assert_eq!(shared.total_utility(), 0.0);
+            for ev in 0..inst.num_events() as u32 {
+                for ti in 0..inst.num_intervals() as u32 {
+                    assert_eq!(
+                        shared.score(e(ev), t(ti)).to_bits(),
+                        fresh.score(e(ev), t(ti)).to_bits(),
+                        "e{ev} t{ti}"
+                    );
+                }
+            }
+            assert_eq!(shared.counters(), fresh.counters());
+        }
+    }
+
+    #[test]
+    fn two_threads_racing_the_first_build_agree() {
+        use crate::registry::{self, SchedulerSpec};
+        let inst = crate::testkit::medium_instance(11);
+        let barrier = std::sync::Barrier::new(2);
+        let results: Vec<(usize, u64)> = std::thread::scope(|scope| {
+            let handles: Vec<_> = (0..2)
+                .map(|_| {
+                    scope.spawn(|| {
+                        barrier.wait();
+                        let engine = AttendanceEngine::new(&inst);
+                        let skeleton = engine.skeleton() as *const EngineSkeleton as usize;
+                        let out = registry::build(SchedulerSpec::Greedy)
+                            .run(&inst, 5)
+                            .unwrap();
+                        (skeleton, out.total_utility.to_bits())
+                    })
+                })
+                .collect();
+            handles.into_iter().map(|h| h.join().unwrap()).collect()
+        });
+        assert_eq!(results[0].0, results[1].0, "one skeleton per instance");
+        let fresh = registry::build(SchedulerSpec::Greedy)
+            .run(&crate::testkit::medium_instance(11), 5)
+            .unwrap();
+        assert_eq!(results[0].1, fresh.total_utility.to_bits());
+        assert_eq!(results[1].1, fresh.total_utility.to_bits());
+    }
+
+    #[test]
+    fn every_scheduler_on_a_warm_instance_matches_a_fresh_one() {
+        use crate::registry::{self, SchedulerSpec};
+        let specs = [
+            SchedulerSpec::Greedy,
+            SchedulerSpec::GreedyHeap,
+            SchedulerSpec::Top,
+            SchedulerSpec::Random(3),
+            SchedulerSpec::GreedyLocalSearch,
+            SchedulerSpec::GreedyAnnealing,
+            SchedulerSpec::Exact,
+        ];
+        let k = 3;
+        for spec in specs {
+            let shared = crate::testkit::small_instance(5);
+            for other in specs.iter().filter(|&&o| o != spec) {
+                registry::build(*other).run(&shared, k).unwrap();
+            }
+            let warm = registry::build(spec).run(&shared, k).unwrap();
+            let fresh = registry::build(spec)
+                .run(&crate::testkit::small_instance(5), k)
+                .unwrap();
+            let name = spec.name();
+            assert_eq!(
+                warm.total_utility.to_bits(),
+                fresh.total_utility.to_bits(),
+                "{name}"
+            );
+            assert_eq!(warm.schedule, fresh.schedule, "{name}");
+            assert_eq!(warm.stats.engine, fresh.stats.engine, "{name}");
+            assert_eq!(warm.stats.pops, fresh.stats.pops, "{name}");
+            assert_eq!(warm.stats.updates, fresh.stats.updates, "{name}");
+            let (wm, fm) = (warm.stats.memory, fresh.stats.memory);
+            assert_eq!(wm.column_slots, fm.column_slots, "{name}");
+            assert_eq!(
+                wm.total_resident_bytes(),
+                fm.total_resident_bytes(),
+                "{name}"
+            );
+        }
     }
 
     #[test]

@@ -1,12 +1,13 @@
 //! The SES problem instance: everything an algorithm needs to schedule.
 
 use crate::activity::ActivityModel;
+use crate::engine::EngineSkeleton;
 use crate::ids::{CompetingEventId, EventId, IntervalId, UserId};
 use crate::interest::InterestModel;
 use crate::model::{CandidateEvent, CompetingEvent, Organizer, TimeInterval};
 use crate::schedule::Schedule;
 use std::fmt;
-use std::sync::Arc;
+use std::sync::{Arc, OnceLock};
 
 /// Validation failures detected by [`InstanceBuilder::build`].
 #[derive(Debug, Clone, PartialEq)]
@@ -177,6 +178,12 @@ impl std::error::Error for FeasibilityViolation {}
 ///
 /// Shared behind [`Arc`]s for the model components so instances are cheap to
 /// hand to scoped threads in the benchmark harness.
+///
+/// The instance also caches the attendance engine's immutable skeleton
+/// (slot index, column index, `σ`, posting runs, competing mass), built by
+/// the first [`AttendanceEngine::new`](crate::AttendanceEngine::new) on it
+/// and shared by every later engine. The instance is immutable and not
+/// `Clone`, so the cached skeleton can never go stale.
 pub struct SesInstance {
     organizer: Organizer,
     intervals: Vec<TimeInterval>,
@@ -185,6 +192,7 @@ pub struct SesInstance {
     competing_by_interval: Vec<Vec<CompetingEventId>>,
     interest: Arc<dyn InterestModel>,
     activity: Arc<dyn ActivityModel>,
+    engine_skeleton: OnceLock<EngineSkeleton>,
 }
 
 impl fmt::Debug for SesInstance {
@@ -203,6 +211,14 @@ impl SesInstance {
     /// Starts building an instance.
     pub fn builder() -> InstanceBuilder {
         InstanceBuilder::default()
+    }
+
+    /// The engine skeleton of this instance, built on the first call (a
+    /// concurrent first call waits for it) and returned as-is afterwards.
+    #[inline]
+    pub(crate) fn engine_skeleton(&self) -> &EngineSkeleton {
+        self.engine_skeleton
+            .get_or_init(|| EngineSkeleton::build(self))
     }
 
     /// The organizer.
@@ -559,6 +575,7 @@ impl InstanceBuilder {
             competing_by_interval,
             interest,
             activity,
+            engine_skeleton: OnceLock::new(),
         })
     }
 }

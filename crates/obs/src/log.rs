@@ -12,7 +12,6 @@
 
 use std::collections::HashMap;
 use std::fmt;
-use std::io::Write as _;
 use std::sync::atomic::{AtomicBool, AtomicU8, Ordering};
 use std::sync::{Mutex, OnceLock};
 use std::time::{SystemTime, UNIX_EPOCH};
@@ -254,7 +253,9 @@ pub fn log(level: Level, component: &'static str, message: &str, fields: &[(&str
     }
     line.push('\n');
     // One write per line so concurrent emitters never interleave bytes.
-    let _ = std::io::stderr().lock().write_all(line.as_bytes());
+    // `eprint!` rather than a direct `stderr().write_all`: libtest captures
+    // the former per test, so log lines never splice into test output.
+    eprint!("{line}");
 }
 
 #[cfg(test)]
